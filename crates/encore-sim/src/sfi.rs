@@ -28,8 +28,8 @@
 use crate::fault::{FaultModel, FaultModelKind, FaultPlan};
 use crate::memory::ProbeCost;
 use crate::interp::{
-    run_function_with_snapshots, Machine, RunConfig, RunResult, SpliceRule, SpliceRun, Trap,
-    TrapKind,
+    run_function_with_snapshots, Machine, NoHooks, RunConfig, RunResult, SpliceRule, SpliceRun,
+    Trap, TrapKind,
 };
 use crate::predecode::DecodedModule;
 use crate::rng::SplitMix64;
@@ -682,7 +682,7 @@ impl<'a> SfiCampaign<'a> {
     }
 
     fn fresh_machine(&self, config: &RunConfig) -> Machine<'a, '_> {
-        Machine::start(self.module, &self.code, self.map, self.entry, &self.args, config)
+        Machine::start(self.module, &self.code, self.map, self.entry, &self.args, config, NoHooks)
     }
 
     /// Classifies a finished machine against the golden run without
