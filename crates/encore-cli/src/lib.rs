@@ -633,6 +633,21 @@ mod tests {
     }
 
     #[test]
+    fn oversized_alloc_traps_instead_of_panicking() {
+        let text = demo_text("175.vpr");
+        assert!(text.contains("alloc h0, 16"), "175.vpr allocates 16 cells");
+        let (_, opts) = Options::parse(&["--eval-arg".into(), "32".into()]).unwrap();
+        for size in ["9223372036854775807", "4000000000"] {
+            let big = text.replace("alloc h0, 16", &format!("alloc h0, {size}"));
+            let out = cmd_run(&big, &opts).expect("run reports the trap");
+            assert!(out.contains("completed:        false"), "{out}");
+            assert!(out.contains("cell cap"), "{out}");
+            let err = cmd_sfi(&big, &opts).expect_err("a trapping workload cannot host a campaign");
+            assert!(err.to_string().contains("trapped"), "{err}");
+        }
+    }
+
+    #[test]
     fn analyze_reports_regions() {
         let text = demo_text("rawcaudio");
         let (_, opts) =

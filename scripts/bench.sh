@@ -14,7 +14,8 @@
 # ENCORE_BENCH_LABEL to tag the emitted rows (e.g. "baseline" vs
 # "post-change" when comparing in one file); by default rows are
 # labeled with the current git commit so results stay attributable
-# after the fact.
+# after the fact. Each run appends its rows: the files keep the whole
+# history, one labeled JSON line per suite run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,10 +31,9 @@ echo "==> labeling rows: $ENCORE_BENCH_LABEL"
 # so a relative path would land inside crates/encore-bench/.
 run_suite() {
     local bench="$1" out="$2"
-    rm -f "$out"
     echo "==> cargo bench -p encore-bench --bench $bench --offline"
     ENCORE_BENCH_JSON="$PWD/$out" cargo bench -p encore-bench --bench "$bench" --offline
-    echo "==> wrote $out"
+    echo "==> appended to $out"
 }
 
 run_suite analysis BENCH_analysis.json

@@ -18,6 +18,12 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# The benchmark is a package of its own (outside the workspace) that
+# drives the engine's public API; its tests run small versions of each
+# workload, so an API change that breaks the benchmark fails here.
+echo "==> perfbench tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Fixed-seed campaign smoke: exercises the snapshot-and-resume +
 # convergence-splice injection path end-to-end on a real workload, once
 # per fault model so every sampler and its injection machinery (bit

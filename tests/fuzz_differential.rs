@@ -278,6 +278,54 @@ fn fuzzed_fault_plans_agree_between_resume_and_scratch() {
     });
 }
 
+/// One interpreter loop, two hook sets: a run that also collects a
+/// profile and a memory-event trace must compute exactly what the
+/// plain run computes — return value, output, globals, dynamic,
+/// instrumentation and eligible counts, checkpoint high-water mark,
+/// region accounting and fault telemetry — on the golden run, on
+/// model-sampled plans of every fault model and on the adversarial
+/// plans above.
+#[test]
+fn fuzzed_runs_agree_between_observed_and_plain_execution() {
+    check::<Fuzzed>("fuzz_differential_observed", case_count(32), |f| {
+        let (module, map, entry) = instrument(&f.0).map_err(|e| e.to_string())?;
+        let args = [Value::Int(f.0.arg)];
+        let run = |config: &RunConfig| run_function(&module, Some(&map), entry, &args, config);
+        let golden = run(&RunConfig { region_accounting: true, ..Default::default() });
+        let mut plans = vec![None];
+        if golden.eligible_insts > 0 {
+            for model in FaultModelKind::ALL {
+                let cfg = SfiConfig { dmax: 16, seed: 0x0B5E, model, ..Default::default() };
+                plans.extend((0..6).map(|i| Some(cfg.plan_for(i, golden.eligible_insts))));
+            }
+            plans.extend(adversarial_plans(golden.eligible_insts).into_iter().map(Some));
+        }
+        for fault in plans {
+            let plain = RunConfig {
+                fuel: golden.dyn_insts.saturating_mul(4).max(100_000),
+                region_accounting: true,
+                fault,
+                ..Default::default()
+            };
+            let a = run(&plain);
+            let mut b = run(&RunConfig { collect_profile: true, collect_trace: true, ..plain });
+            let (profile, trace) = (b.profile.take(), b.trace.take());
+            prop_assert!(
+                a == b,
+                "observing changed the run under {fault:?}:\nplain:    {a:?}\nobserved: {b:?}"
+            );
+            prop_assert!(trace.is_some(), "no trace collected under {fault:?}");
+            let total = profile.map(|p| p.total_dyn_insts);
+            prop_assert!(
+                total == Some(b.dyn_insts),
+                "profile counted {total:?} of {} dynamic instructions under {fault:?}",
+                b.dyn_insts
+            );
+        }
+        Ok(())
+    });
+}
+
 /// Campaign shape under which the corpus must reach every splice rule.
 fn engagement_config() -> SfiConfig {
     SfiConfig {

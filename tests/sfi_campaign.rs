@@ -574,3 +574,37 @@ fn prepare_surfaces_trapping_golden_run_as_error() {
         .expect_err("trapping golden run must be an error");
     assert!(err.to_string().contains("golden run trapped"), "unhelpful error: {err}");
 }
+
+/// An `alloc` whose size register takes a bit-62 flip asks for ~2^62
+/// cells. The run must trap on the allocation cap and classify like any
+/// other symptom — not panic with a capacity overflow or abort the
+/// whole campaign out of memory.
+#[test]
+fn flipped_alloc_size_is_a_classified_outcome() {
+    let mut mb = ModuleBuilder::new("alloc_size");
+    let fid = mb.function("f", 1, |f| {
+        let n = f.param(0);
+        // Eligible ordinal 0: the alloc size's producer.
+        let size = f.bin(BinOp::Add, n.into(), Operand::ImmI(0));
+        let p = f.alloc(size.into());
+        f.store(AddrExpr::reg(p, 3), n.into());
+        let v = f.load(AddrExpr::reg(p, 3));
+        f.ret(Some(v.into()));
+    });
+    let m = mb.finish();
+    encore_ir::verify_module(&m).expect("hand-built module verifies");
+    let campaign = SfiCampaign::prepare(&m, None, fid, &[Value::Int(16)], &config(8, 1))
+        .expect("golden run completes");
+    for latency in [0, 1, 1000] {
+        let plan = FaultPlan::bit_flip(0, 62, latency);
+        let outcome = campaign.run_one(plan);
+        assert!(
+            matches!(outcome, FaultOutcome::Crashed | FaultOutcome::DetectedUnrecoverable),
+            "latency {latency}: oversized alloc classified as {outcome:?}"
+        );
+        assert_eq!(outcome, campaign.run_one_from_scratch(plan));
+    }
+    let direct = run_function(&m, None, fid, &[Value::Int(1 << 62)], &RunConfig::default());
+    let trap = direct.trap.expect("oversized alloc traps");
+    assert!(matches!(trap.kind, encore::sim::TrapKind::Memory(_)), "{trap}");
+}
